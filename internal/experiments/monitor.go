@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,22 +57,30 @@ type Monitor struct {
 // NewMonitor returns a monitor with its clock started.
 func NewMonitor() *Monitor { return &Monitor{start: time.Now()} } //lint:allow determinism live-monitoring clock; /metrics and /progress are not byte-identical surfaces
 
-// resultEvents is the simulator-event count of one completed run, defined
-// to match exactly what a RunStats observer counts for the same run
-// (predictions incl. repredictions + resolutions + traps + context
-// switches), so the monitor's event total agrees with the per-run Events
-// sums in metrics.json.
-func resultEvents(res sim.Result) uint64 {
+// ResultEvents returns the simulator-event count of one completed run,
+// the unit the monitor's Events counter accumulates. It matches exactly
+// what a RunStats observer counts for the same run (predictions incl.
+// repredictions + resolutions + traps + context switches), so the
+// monitor's event total agrees with the per-run Events sums in
+// metrics.json, and out-of-package schedulers (internal/server) charge
+// cells identically to the grid scheduler.
+func ResultEvents(res sim.Result) uint64 {
 	return 2*res.Accuracy.Predictions + res.Repredictions + res.Traps + res.ContextSwitches
 }
 
-func (m *Monitor) addPlanned(n int) {
+// The cell hooks below are shared by the grid scheduler and
+// out-of-package cell schedulers (the brserve request executor). All are
+// nil-monitor safe.
+
+// AddPlanned records n newly scheduled cells.
+func (m *Monitor) AddPlanned(n int) {
 	if m != nil && n > 0 {
 		m.cellsPlanned.Add(uint64(n))
 	}
 }
 
-func (m *Monitor) cellDone(events uint64) {
+// CellDone records one completed cell and its simulator events.
+func (m *Monitor) CellDone(events uint64) {
 	if m != nil {
 		m.cellsDone.Add(1)
 		m.events.Add(events)
@@ -86,19 +93,22 @@ func (m *Monitor) cellRestored() {
 	}
 }
 
-func (m *Monitor) cellsFailedAdd(n int) {
+// CellsFailed records n cells that gave up.
+func (m *Monitor) CellsFailed(n int) {
 	if m != nil && n > 0 {
 		m.cellsFailed.Add(uint64(n))
 	}
 }
 
-func (m *Monitor) cellRetried() {
+// CellRetried records one retry attempt.
+func (m *Monitor) CellRetried() {
 	if m != nil {
 		m.cellsRetried.Add(1)
 	}
 }
 
-func (m *Monitor) batchFallback() {
+// BatchFallback records one batched pass falling back to per-cell runs.
+func (m *Monitor) BatchFallback() {
 	if m != nil {
 		m.batchFallbacks.Add(1)
 	}
@@ -110,9 +120,9 @@ func (m *Monitor) checkpointFlush() {
 	}
 }
 
-// observeCells records n cells completing with per-cell duration d each
+// ObserveCells records n cells completing with per-cell duration d each
 // (a batched pass charges every member an equal share of the pass).
-func (m *Monitor) observeCells(d time.Duration, n int) {
+func (m *Monitor) ObserveCells(d time.Duration, n int) {
 	if m == nil {
 		return
 	}
@@ -120,35 +130,6 @@ func (m *Monitor) observeCells(d time.Duration, n int) {
 		m.cellTimes.Observe(d)
 	}
 }
-
-// ResultEvents returns the simulator-event count of one completed run —
-// the unit the monitor's Events counter accumulates. Exported so
-// out-of-package schedulers (internal/server) charge cells identically
-// to the grid scheduler.
-func ResultEvents(res sim.Result) uint64 { return resultEvents(res) }
-
-// AddPlanned, CellDone, CellsFailed, CellRetried and ObserveCells are
-// the exported halves of the scheduler hooks, for out-of-package cell
-// schedulers (the brserve request executor) that drive per-tenant
-// monitors. All are nil-monitor safe, like their unexported twins.
-
-// AddPlanned records n newly scheduled cells.
-func (m *Monitor) AddPlanned(n int) { m.addPlanned(n) }
-
-// CellDone records one completed cell and its simulator events.
-func (m *Monitor) CellDone(events uint64) { m.cellDone(events) }
-
-// CellsFailed records n cells that gave up.
-func (m *Monitor) CellsFailed(n int) { m.cellsFailedAdd(n) }
-
-// CellRetried records one retry attempt.
-func (m *Monitor) CellRetried() { m.cellRetried() }
-
-// BatchFallback records one batched pass falling back to per-cell runs.
-func (m *Monitor) BatchFallback() { m.batchFallback() }
-
-// ObserveCells records n cells completing with per-cell duration d each.
-func (m *Monitor) ObserveCells(d time.Duration, n int) { m.observeCells(d, n) }
 
 // AttachTracer publishes tr on the monitor's /spans endpoint. Safe to
 // call on a nil monitor or with a nil tracer (detaches).
@@ -352,31 +333,16 @@ func (s MonitorSnapshot) WritePrometheus(w io.Writer) error {
 }
 
 // PrometheusCounters returns the snapshot's counter series (name ->
-// value) exactly as WritePrometheus exposes them — the set the CI smoke
-// check diffs against metrics.json.
+// value): the counter rows of Metrics, exactly as WritePrometheus
+// exposes them — the set the CI smoke check diffs against metrics.json.
 func (s MonitorSnapshot) PrometheusCounters() map[string]uint64 {
-	return map[string]uint64{
-		"twolevel_grid_cells_planned_total":      s.CellsPlanned,
-		"twolevel_grid_cells_done_total":         s.CellsDone,
-		"twolevel_grid_cells_restored_total":     s.CellsRestored,
-		"twolevel_grid_cells_failed_total":       s.CellsFailed,
-		"twolevel_grid_cells_retried_total":      s.CellsRetried,
-		"twolevel_grid_batch_fallbacks_total":    s.BatchFallbacks,
-		"twolevel_grid_checkpoint_flushes_total": s.CheckpointFlushes,
-		"twolevel_sim_events_total":              s.Events,
-		"twolevel_trace_cache_hits_total":        s.TraceCache.Hits,
-		"twolevel_trace_cache_misses_total":      s.TraceCache.Misses,
+	out := make(map[string]uint64)
+	for _, m := range s.Metrics() {
+		if m.Kind == telemetry.CounterKind {
+			out[m.Name] = m.Counter
+		}
 	}
-}
-
-// CounterNames returns the counter series names in stable order.
-func (s MonitorSnapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.PrometheusCounters()))
-	for name := range s.PrometheusCounters() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return out
 }
 
 // Handler returns the monitoring mux: /metrics (Prometheus text),

@@ -21,14 +21,14 @@ import (
 
 func TestNilMonitorIsNoop(t *testing.T) {
 	var m *Monitor
-	m.addPlanned(3)
-	m.cellDone(10)
+	m.AddPlanned(3)
+	m.CellDone(10)
 	m.cellRestored()
-	m.cellsFailedAdd(1)
-	m.cellRetried()
-	m.batchFallback()
+	m.CellsFailed(1)
+	m.CellRetried()
+	m.BatchFallback()
 	m.checkpointFlush()
-	m.observeCells(time.Second, 2)
+	m.ObserveCells(time.Second, 2)
 	m.AttachTracer(span.New())
 	if tr := m.tracerOrNil(); tr != nil {
 		t.Fatalf("nil monitor kept a tracer: %v", tr)
@@ -41,18 +41,18 @@ func TestNilMonitorIsNoop(t *testing.T) {
 
 func TestMonitorSnapshotETA(t *testing.T) {
 	m := NewMonitor()
-	m.addPlanned(4)
+	m.AddPlanned(4)
 	if eta := m.Snapshot().ETASeconds; eta != -1 {
 		t.Fatalf("ETA with nothing done = %v, want -1", eta)
 	}
-	m.cellDone(100)
-	m.cellDone(100)
+	m.CellDone(100)
+	m.CellDone(100)
 	s := m.Snapshot()
 	if s.ETASeconds < 0 {
 		t.Fatalf("ETA with half the grid done = %v, want >= 0", s.ETASeconds)
 	}
-	m.cellDone(100)
-	m.cellsFailedAdd(1)
+	m.CellDone(100)
+	m.CellsFailed(1)
 	if eta := m.Snapshot().ETASeconds; eta != 0 {
 		t.Fatalf("ETA with every cell settled = %v, want 0", eta)
 	}
@@ -65,10 +65,10 @@ func TestMonitorSnapshotETA(t *testing.T) {
 // dividing the measured mean by a phantom worker.
 func TestMonitorETADrainedWorkers(t *testing.T) {
 	m := NewMonitor()
-	m.addPlanned(4)
-	m.cellDone(100)
-	m.cellDone(100)
-	m.observeCells(50*time.Millisecond, 2)
+	m.AddPlanned(4)
+	m.CellDone(100)
+	m.CellDone(100)
+	m.ObserveCells(50*time.Millisecond, 2)
 	setWorkerState(m.workerHandle(0), "done")
 	setWorkerState(m.workerHandle(1), "done")
 	s := m.Snapshot()
@@ -86,9 +86,9 @@ func TestMonitorETADrainedWorkers(t *testing.T) {
 
 func TestMonitorETAWithoutWorkerTable(t *testing.T) {
 	m := NewMonitor()
-	m.addPlanned(3)
-	m.cellDone(10)
-	m.observeCells(time.Millisecond, 1)
+	m.AddPlanned(3)
+	m.CellDone(10)
+	m.ObserveCells(time.Millisecond, 1)
 	s := m.Snapshot()
 	if len(s.Workers) != 0 {
 		t.Fatalf("unexpected worker table: %+v", s.Workers)

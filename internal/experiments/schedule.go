@@ -56,7 +56,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 		return grid, nil
 	}
 	log := logx.Or(o.Logger)
-	o.Monitor.addPlanned(len(rows) * len(o.Benchmarks))
+	o.Monitor.AddPlanned(len(rows) * len(o.Benchmarks))
 	// Restore checkpointed cells; only the remainder is scheduled.
 	pending := make([][]int, len(o.Benchmarks))
 	for bi, b := range o.Benchmarks {
@@ -106,7 +106,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 				cellErrs[ti] = runTask(t, rows, grid, wo)
 				if len(cellErrs[ti]) > 0 {
 					failed.Store(true)
-					o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
+					o.Monitor.CellsFailed(len(cellErrs[ti]))
 				}
 				if o.Checkpoint != nil {
 					if err := o.Checkpoint.Flush(); err != nil {
@@ -146,7 +146,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 		for ti := next; ti < len(tasks); ti++ {
 			if cellErrs[ti] == nil {
 				cellErrs[ti] = cancelErrors(tasks[ti], rows, o.Benchmarks[tasks[ti].bi], o.Context.Err())
-				o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
+				o.Monitor.CellsFailed(len(cellErrs[ti]))
 				undispatched++
 			}
 		}
@@ -196,7 +196,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 		dur := time.Since(start) //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
 		// Batched cells share one replay pass, so each is charged an
 		// equal share of the pass for latency percentiles and ETA.
-		o.Monitor.observeCells(dur/time.Duration(len(batch)), len(batch))
+		o.Monitor.ObserveCells(dur/time.Duration(len(batch)), len(batch))
 		for i, ri := range t.rows {
 			grid[ri][t.bi] = res[i]
 			recordCell(rows[ri].sp, b, res[i], o)
@@ -213,7 +213,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 	// retry budget for transient errors — so the failure attributes to
 	// exactly the broken cell and healthy siblings still yield results.
 	log.Warn("batch failed; isolating cells", "bench", b.Name, "rows", len(t.rows), "err", err)
-	o.Monitor.batchFallback()
+	o.Monitor.BatchFallback()
 	var errs []*CellError
 	for _, ri := range t.rows {
 		start := time.Now() //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
@@ -239,7 +239,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 			continue
 		}
 		dur := time.Since(start) //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
-		o.Monitor.observeCells(dur, 1)
+		o.Monitor.ObserveCells(dur, 1)
 		grid[ri][t.bi] = res
 		recordCell(rows[ri].sp, b, res, o)
 		logCellDone(log, rows[ri].label, b, res, dur, attempts, 1)
@@ -252,7 +252,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 // events/sec. Batched cells share their pass's duration, so their
 // events/sec figure measures the pass, not the cell alone.
 func logCellDone(log *slog.Logger, label string, b *prog.Benchmark, res sim.Result, dur time.Duration, attempt, batch int) {
-	events := resultEvents(res)
+	events := ResultEvents(res)
 	eps := 0.0
 	if s := dur.Seconds(); s > 0 {
 		eps = float64(events) / s
@@ -275,7 +275,7 @@ func cancelErrors(t gridTask, rows []labeledSpec, b *prog.Benchmark, err error) 
 // recordCell stores a completed cell in the checkpoint, if one is
 // attached, and lands its event count in the monitor.
 func recordCell(sp spec.Spec, b *prog.Benchmark, res sim.Result, o Options) {
-	o.Monitor.cellDone(resultEvents(res))
+	o.Monitor.CellDone(ResultEvents(res))
 	if o.Checkpoint != nil {
 		o.Checkpoint.record(cellKey(sp, b, o), res)
 	}
@@ -297,7 +297,7 @@ func runCellAttempts(row labeledSpec, b *prog.Benchmark, o Options) (sim.Result,
 		if attempts > o.Retries || !retryable(err) {
 			return res, attempts, err
 		}
-		o.Monitor.cellRetried()
+		o.Monitor.CellRetried()
 		log.Warn("retrying cell", "spec", row.label, "bench", b.Name,
 			"attempt", attempts, "retries", o.Retries, "err", err)
 		if werr := o.backoffWait(attempts); werr != nil {

@@ -3,6 +3,10 @@
 // slow-loris bodies — asserting the robustness contract: shed with
 // 429s, never crash, never block unrelated tenants, and keep serving
 // answers bit-identical to direct sim.Run throughout.
+//
+// Every chaos test serves through startChaos: each request runs under a
+// client deadline far below RequestTimeout, so a hang fails the test
+// instead of passing slowly, and no goroutine may outlive the server.
 package server
 
 import (
@@ -15,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +31,39 @@ import (
 	"twolevel/internal/spec"
 	"twolevel/internal/trace"
 )
+
+// chaosDeadline bounds every chaos request, well below the server's
+// default RequestTimeout (120 s).
+const chaosDeadline = 10 * time.Second
+
+// goroutineSlack is how many goroutines above the pre-server baseline
+// may remain after the server closes: room for runtime and net/http
+// housekeeping that is not the server's.
+const goroutineSlack = 2
+
+// startChaos serves s on a test server and returns it with a client
+// whose every request runs under chaosDeadline. At cleanup it closes the
+// server and requires the goroutine count to fall back to its baseline
+// (plus goroutineSlack) within 2 s: no handler, stream heartbeat or slot
+// waiter may outlive the server.
+func startChaos(t *testing.T, s *Server) (*httptest.Server, *http.Client) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	ts := httptest.NewServer(s.Handler())
+	client := &http.Client{Transport: ts.Client().Transport, Timeout: chaosDeadline}
+	t.Cleanup(func() {
+		ts.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for n := runtime.NumGoroutine(); n > base+goroutineSlack; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines 2 s after close, baseline %d (+%d slack)", n, base, goroutineSlack)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	return ts, client
+}
 
 // panicPredictor panics on the Nth prediction.
 type panicPredictor struct {
@@ -64,10 +102,9 @@ func TestChaosPanickingCellIsolated(t *testing.T) {
 	}
 	poison := spec.MustParse(specs[1]).String()
 	s := New(poisonConfig(Config{}, poison))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts, client := startChaos(t, s)
 
-	res, gr := postGrid(t, ts.Client(), ts.URL, "chaotic", GridRequest{
+	res, gr := postGrid(t, client, ts.URL, "chaotic", GridRequest{
 		Bench: testBench, Specs: specs, Branches: testBranches,
 	})
 	if res.StatusCode != http.StatusOK {
@@ -92,7 +129,7 @@ func TestChaosPanickingCellIsolated(t *testing.T) {
 		t.Error("no batch fallback recorded")
 	}
 	// The process keeps serving.
-	res, gr = postGrid(t, ts.Client(), ts.URL, "after", GridRequest{
+	res, gr = postGrid(t, client, ts.URL, "after", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 	})
 	if res.StatusCode != http.StatusOK || gr.Failed != 0 {
@@ -120,17 +157,16 @@ func TestChaosCaptureFaultIsTransient(t *testing.T) {
 		return src, nil
 	}
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts, client := startChaos(t, s)
 
 	req := GridRequest{Bench: testBench, Specs: testSpecs[:1], Branches: testBranches}
-	res, _ := postGrid(t, ts.Client(), ts.URL, "unlucky", req)
+	res, _ := postGrid(t, client, ts.URL, "unlucky", req)
 	if res.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("torn capture status = %d, want 500", res.StatusCode)
 	}
 	// The fault is not sticky: the cache entry was reset, the retry
 	// re-captures and serves the exact direct-run answer.
-	res, gr := postGrid(t, ts.Client(), ts.URL, "unlucky", req)
+	res, gr := postGrid(t, client, ts.URL, "unlucky", req)
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("healed capture status = %d, want 200", res.StatusCode)
 	}
@@ -152,11 +188,10 @@ func TestChaosMidRequestClientCancel(t *testing.T) {
 		return p, nil
 	}
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts, client := startChaos(t, s)
 
 	// Warm the capture so the cancel lands mid-simulation.
-	if res, _ := postGrid(t, ts.Client(), ts.URL, "warm", GridRequest{
+	if res, _ := postGrid(t, client, ts.URL, "warm", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: budget,
 	}); res.StatusCode != http.StatusOK {
 		t.Fatalf("warm status = %d", res.StatusCode)
@@ -171,7 +206,7 @@ func TestChaosMidRequestClientCancel(t *testing.T) {
 	req.Header.Set("X-Tenant", "quitter")
 	errc := make(chan error, 1)
 	go func() {
-		res, err := ts.Client().Do(req)
+		res, err := client.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, res.Body)
 			res.Body.Close()
@@ -191,7 +226,7 @@ func TestChaosMidRequestClientCancel(t *testing.T) {
 		return snap.Completed+snap.Failed >= 2
 	})
 	// ...and the server keeps serving correct answers.
-	res, gr := postGrid(t, ts.Client(), ts.URL, "survivor", GridRequest{
+	res, gr := postGrid(t, client, ts.URL, "survivor", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 	})
 	if res.StatusCode != http.StatusOK || gr.Failed != 0 {
@@ -202,8 +237,7 @@ func TestChaosMidRequestClientCancel(t *testing.T) {
 
 func TestChaosSlowLorisBodyFreesSlot(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, WriteTimeout: 300 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts, client := startChaos(t, s)
 
 	// A client that sends headers plus a byte of body, then stalls. It
 	// passes admission (headers carry the tenant) and parks in the body
@@ -216,18 +250,18 @@ func TestChaosSlowLorisBodyFreesSlot(t *testing.T) {
 	fmt.Fprintf(conn, "POST /v1/grid HTTP/1.1\r\nHost: loris\r\nX-Tenant: loris\r\nContent-Type: application/json\r\nContent-Length: 512\r\n\r\n{")
 
 	waitFor(t, "loris to hold the slot", func() bool {
-		return s.queued.Load() == 1
+		return s.admission.load() == 1
 	})
 	// While the loris stalls, a well-behaved request must still get
 	// through once the deadline evicts it (within ~WriteTimeout).
-	res, gr := postGrid(t, ts.Client(), ts.URL, "patient", GridRequest{
+	res, gr := postGrid(t, client, ts.URL, "patient", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 	})
 	if res.StatusCode != http.StatusOK || gr.Failed != 0 {
 		t.Fatalf("patient request: status=%d", res.StatusCode)
 	}
 	waitFor(t, "loris to be evicted", func() bool {
-		return s.queued.Load() == 0
+		return s.admission.load() == 0
 	})
 	if snap := s.agg.Snapshot(); snap.Rejected == 0 {
 		t.Error("evicted slow-loris not counted as rejected")
@@ -245,11 +279,10 @@ func TestChaosNoisyNeighborCannotStarveQuietTenant(t *testing.T) {
 		TenantCells:   2,
 	}, poison)
 	s := New(cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts, client := startChaos(t, s)
 
 	// Pre-warm so every request replays the shared capture.
-	if res, _ := postGrid(t, ts.Client(), ts.URL, "warm", GridRequest{
+	if res, _ := postGrid(t, client, ts.URL, "warm", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 	}); res.StatusCode != http.StatusOK {
 		t.Fatal("warm request failed")
@@ -273,10 +306,17 @@ func TestChaosNoisyNeighborCannotStarveQuietTenant(t *testing.T) {
 				}
 				req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/grid", bytes.NewReader(body))
 				req.Header.Set("X-Tenant", "noisy")
-				res, err := ts.Client().Do(req)
-				if err == nil {
-					io.Copy(io.Discard, res.Body)
-					res.Body.Close()
+				res, err := client.Do(req)
+				if err != nil {
+					// A hung grid surfaces here, at chaosDeadline.
+					t.Errorf("noisy request: %v", err)
+					return
+				}
+				io.Copy(io.Discard, res.Body)
+				res.Body.Close()
+				if res.StatusCode != http.StatusOK && res.StatusCode != http.StatusTooManyRequests {
+					t.Errorf("noisy request status = %d", res.StatusCode)
+					return
 				}
 			}
 		}()
@@ -287,7 +327,7 @@ func TestChaosNoisyNeighborCannotStarveQuietTenant(t *testing.T) {
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	quietRuns := 0
 	for time.Now().Before(deadline) {
-		res, gr := postGrid(t, ts.Client(), ts.URL, "quiet", GridRequest{
+		res, gr := postGrid(t, client, ts.URL, "quiet", GridRequest{
 			Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 		})
 		switch res.StatusCode {
@@ -320,9 +360,52 @@ func TestChaosNoisyNeighborCannotStarveQuietTenant(t *testing.T) {
 	if noisy.grid.Snapshot().CellsFailed == 0 {
 		t.Error("noisy tenant's poisoned cells not recorded as failures")
 	}
-	if res, _ := postGrid(t, ts.Client(), ts.URL, "after", GridRequest{
+	if res, _ := postGrid(t, client, ts.URL, "after", GridRequest{
 		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
 	}); res.StatusCode != http.StatusOK {
 		t.Fatalf("post-storm request status = %d", res.StatusCode)
 	}
+}
+
+// TestChaosSameTenantGridsDoNotDeadlock pins the slot policy: one
+// tenant whose every grid needs all of its cell slots, posting from
+// several clients at once. Taking slots one at a time lets two grids
+// each hold one and wait forever for the other; all-or-nothing
+// acquisition must serve every grid before the test's deadline.
+func TestChaosSameTenantGridsDoNotDeadlock(t *testing.T) {
+	s := New(Config{MaxConcurrent: 8, MaxQueue: 8, TenantCells: 2})
+	ts, client := startChaos(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	req := GridRequest{Bench: testBench, Specs: testSpecs[:2], Branches: testBranches}
+	if res, _ := postGrid(t, client, ts.URL, "twin", req); res.StatusCode != http.StatusOK {
+		t.Fatalf("warm status = %d", res.StatusCode)
+	}
+	body, _ := json.Marshal(req)
+	storm := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(storm) {
+				hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/grid", bytes.NewReader(body))
+				hreq.Header.Set("X-Tenant", "twin")
+				res, err := client.Do(hreq)
+				if err != nil {
+					t.Errorf("grid request: %v", err)
+					return
+				}
+				var gr GridResponse
+				derr := json.NewDecoder(res.Body).Decode(&gr)
+				res.Body.Close()
+				if res.StatusCode != http.StatusOK || derr != nil || gr.Failed != 0 {
+					t.Errorf("grid: status=%d decode=%v failed=%d cells=%+v", res.StatusCode, derr, gr.Failed, gr.Cells)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

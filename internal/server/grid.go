@@ -99,6 +99,17 @@ type GridResponse struct {
 	ElapsedMS int64  `json:"elapsed_ms"`
 }
 
+// tally counts the settled cells into Completed and Failed.
+func (r *GridResponse) tally(cells []Cell) {
+	for _, c := range cells {
+		if c.Error == "" {
+			r.Completed++
+		} else {
+			r.Failed++
+		}
+	}
+}
+
 // httpError is a request-level failure with a status code; handlers
 // translate it into the response envelope.
 type httpError struct {
@@ -310,7 +321,8 @@ func (s *Server) train(ctx context.Context, t *tenant, sp spec.Spec, req GridReq
 	return td, nil
 }
 
-// execute runs the job's cells in tenant-bounded batches and invokes
+// execute runs the job's cells in tenant-bounded batches, each batch
+// holding its tenant's cell slots and then the global pool's, and invokes
 // emit with each cell's grid index as it settles (emit errors abort the
 // run — a streaming client that stopped reading). The returned cells
 // are in spec order.
@@ -326,12 +338,12 @@ func (s *Server) execute(ctx context.Context, job *gridJob, emit func(idx int, c
 		end := min(start+batchMax, nCells)
 		batch := job.cells[start:end]
 
-		releaseTenant, ok := t.acquireCells(len(batch), ctx.Done())
+		releaseTenant, ok := t.cells.acquire(ctx.Done(), len(batch))
 		if !ok {
 			s.failRemaining(job, out, start, ctx.Err())
 			return out, ctx.Err()
 		}
-		releaseWork, ok := s.acquireWork(len(batch), ctx.Done())
+		releasePool, ok := s.pool.acquire(ctx.Done(), len(batch))
 		if !ok {
 			releaseTenant()
 			s.failRemaining(job, out, start, ctx.Err())
@@ -341,7 +353,7 @@ func (s *Server) execute(ctx context.Context, job *gridJob, emit func(idx int, c
 		began := s.cfg.clock()
 		results, errs := s.runBatchGuarded(ctx, job, batch)
 		elapsed := s.cfg.clock().Sub(began)
-		releaseWork()
+		releasePool()
 		releaseTenant()
 
 		for i := range batch {
@@ -407,28 +419,6 @@ func (s *Server) failRemaining(job *gridJob, out []Cell, idx int, err error) {
 		s.grid.CellsFailed(n)
 		job.tenant.grid.CellsFailed(n)
 	}
-}
-
-// acquireWork takes n global worker-pool slots (or aborts on done).
-func (s *Server) acquireWork(n int, done <-chan struct{}) (func(), bool) {
-	if n > cap(s.workSem) {
-		n = cap(s.workSem) // a batch may be wider than the pool; cap, don't deadlock
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case s.workSem <- struct{}{}:
-		case <-done:
-			for j := 0; j < i; j++ {
-				<-s.workSem
-			}
-			return nil, false
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			<-s.workSem
-		}
-	}, true
 }
 
 // runBatchGuarded runs one batch through sim.RunMany behind a recover

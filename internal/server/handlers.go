@@ -148,16 +148,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.streamGrid(w, ctx, t, job, resp, began)
 		return
 	}
-	//lint:allow errflow execute records every failure in the cells themselves (settleCell/failRemaining), and resp.Failed counts them below
+	//lint:allow errflow execute records every failure in the cells themselves (settleCell/failRemaining), and tally counts them into resp.Failed
 	cells, _ := s.execute(ctx, job, nil)
 	resp.Cells = cells
-	for _, c := range cells {
-		if c.Error == "" {
-			resp.Completed++
-		} else {
-			resp.Failed++
-		}
-	}
+	resp.tally(cells)
 	elapsed := s.cfg.clock().Sub(began)
 	resp.ElapsedMS = elapsed.Milliseconds()
 	s.agg.done(resp.Failed == 0, elapsed)
@@ -194,6 +188,7 @@ func (s *Server) streamGrid(w http.ResponseWriter, ctx context.Context, t *tenan
 	w.WriteHeader(http.StatusOK)
 	sw := s.newStreamWriter(w)
 	defer sw.close()
+	progress := progressEvent{Planned: len(job.cells)}
 	emit := func(idx int, c Cell) error {
 		if sink := job.sink(idx); sink != nil && c.Error == "" {
 			for i := range sink.Samples {
@@ -211,18 +206,21 @@ func (s *Server) streamGrid(w http.ResponseWriter, ctx context.Context, t *tenan
 			}
 		}
 		if c.Error == "" {
-			resp.Completed++
+			progress.Done++
 		} else {
-			resp.Failed++
+			progress.Failed++
 		}
 		cell := c
 		if err := sw.send(streamEvent{Type: "cell", Cell: &cell}); err != nil {
 			return err
 		}
-		p := progressEvent{Done: resp.Completed, Failed: resp.Failed, Planned: len(job.cells)}
-		return sw.send(streamEvent{Type: "progress", Progress: &p})
+		return sw.send(streamEvent{Type: "progress", Progress: &progress})
 	}
-	_, execErr := s.execute(ctx, job, emit)
+	// The summary counts every cell execute settled, including those it
+	// failed without emitting (a deadline that fired while waiting for
+	// slots).
+	cells, execErr := s.execute(ctx, job, emit)
+	resp.tally(cells)
 	elapsed := s.cfg.clock().Sub(began)
 	resp.ElapsedMS = elapsed.Milliseconds()
 	ok := resp.Failed == 0 && execErr == nil
@@ -338,7 +336,7 @@ func (s *Server) serverMetrics() []telemetry.Metric {
 	st := s.cache.Stats()
 	g := telemetry.GaugeMetric
 	return []telemetry.Metric{
-		g("twolevel_serve_queue_depth", "Requests holding or waiting for an execution slot.", float64(s.queued.Load())),
+		g("twolevel_serve_queue_depth", "Requests holding or waiting for an execution slot.", float64(s.admission.load())),
 		g("twolevel_serve_draining", "1 while the server is draining, else 0.", boolGauge(s.draining.Load())),
 		g("twolevel_serve_trace_cache_entries", "Captured streams resident in the shared cache.", float64(st.Entries)),
 		g("twolevel_serve_trace_cache_bytes", "Approximate heap bytes held by shared captures.", float64(st.Bytes)),

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -188,10 +187,4 @@ func (s MonitorSnapshot) Metrics() []telemetry.Metric {
 	g("latency_seconds_max", "Slowest admitted-request service time.", s.LatencySecondsMax)
 	g("shed_rate", "Shed plus quota-denied requests over all requests.", s.ShedRate())
 	return ms
-}
-
-// writePrometheus renders the snapshot under a label scope — pairs
-// without braces ("" or `tenant="x"`), merged by the registry writer.
-func (s MonitorSnapshot) writePrometheus(w io.Writer, scope string) {
-	telemetry.WriteMetrics(w, scope, s.Metrics())
 }

@@ -66,7 +66,7 @@ type tenant struct {
 	mon    *Monitor             // request-level counters for this tenant
 	grid   *experiments.Monitor // cell-level counters (progress, events, retries)
 	bucket *tokenBucket
-	cells  chan struct{} // concurrent-cell semaphore
+	cells  *sem // concurrent-cell semaphore
 
 	// cacheHits/cacheMisses attribute shared capture-cache traffic to the
 	// tenant whose request triggered it (the cache itself only keeps
@@ -94,35 +94,14 @@ func (t *tenant) cacheMetrics() []telemetry.Metric {
 	}
 }
 
-// acquireCells blocks until n cell slots are free or done is closed
-// (request context expired). It returns a release func on success.
-func (t *tenant) acquireCells(n int, done <-chan struct{}) (func(), bool) {
-	for i := 0; i < n; i++ {
-		select {
-		case t.cells <- struct{}{}:
-		case <-done:
-			for j := 0; j < i; j++ {
-				<-t.cells
-			}
-			return nil, false
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			<-t.cells
-		}
-	}, true
-}
-
 // tenants is the registry; tenants are created on first use and live
 // for the life of the process (tenant IDs are operator-controlled
 // strings, not attacker-controlled unbounded input — the ID is
 // truncated defensively all the same).
 type tenants struct {
-	mu   sync.Mutex
-	m    map[string]*tenant
-	mk   func(name string) *tenant
-	keys []string // insertion order, for stable /metrics rendering
+	mu sync.Mutex
+	m  map[string]*tenant
+	mk func(name string) *tenant
 }
 
 func newTenants(mk func(name string) *tenant) *tenants {
@@ -144,7 +123,6 @@ func (ts *tenants) get(name string) *tenant {
 	if !ok {
 		t = ts.mk(name)
 		ts.m[name] = t
-		ts.keys = append(ts.keys, name)
 	}
 	return t
 }
@@ -155,15 +133,4 @@ func (ts *tenants) lookup(name string) (*tenant, bool) {
 	defer ts.mu.Unlock()
 	t, ok := ts.m[name]
 	return t, ok
-}
-
-// all returns the tenants in creation order.
-func (ts *tenants) all() []*tenant {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]*tenant, 0, len(ts.keys))
-	for _, k := range ts.keys {
-		out = append(out, ts.m[k])
-	}
-	return out
 }

@@ -90,9 +90,6 @@ type Config struct {
 	// request may ask for: requests whose branches/interval ratio
 	// exceeds it are refused with 400 (default 512).
 	MaxStreamSamples int
-	// Workers bounds simulator cells executing at once across ALL
-	// tenants (default GOMAXPROCS).
-	Workers int
 	// Logger receives serving events (nil = slog.Default()).
 	Logger *slog.Logger
 
@@ -145,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxStreamSamples <= 0 {
 		c.MaxStreamSamples = 512
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.buildPredictor == nil {
 		c.buildPredictor = spec.Build
 	}
@@ -174,26 +168,29 @@ type Server struct {
 	tracer *span.Tracer
 	reg    *telemetry.Registry // unified metrics: /metrics and /progress render from it
 
-	slots    chan struct{} // admitted-request concurrency
-	queued   atomic.Int64  // requests holding or waiting for a slot
-	workSem  chan struct{} // simulator cells in flight, all tenants
-	draining atomic.Bool
-	uploads  sync.Map // upload key -> uploadInfo; the grid path 404s keys not here
-	mux      *http.ServeMux
+	// admission holds MaxConcurrent executing requests plus up to
+	// MaxQueue waiting ones; pool bounds simulator cells in flight
+	// across all tenants to GOMAXPROCS. A request takes admission, then
+	// its tenant's cells, then the pool — always in that order.
+	admission *sem
+	pool      *sem
+	draining  atomic.Bool
+	uploads   sync.Map // upload key -> uploadInfo; the grid path 404s keys not here
+	mux       *http.ServeMux
 }
 
 // New builds a Server from cfg (zero value = production defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		log:     logx.Or(cfg.Logger),
-		cache:   trace.NewCaptureCache(),
-		agg:     &Monitor{},
-		grid:    experiments.NewMonitor(),
-		tracer:  span.NewWithClock(cfg.clock),
-		slots:   make(chan struct{}, cfg.MaxConcurrent),
-		workSem: make(chan struct{}, cfg.Workers),
+		cfg:       cfg,
+		log:       logx.Or(cfg.Logger),
+		cache:     trace.NewCaptureCache(),
+		agg:       &Monitor{},
+		grid:      experiments.NewMonitor(),
+		tracer:    span.NewWithClock(cfg.clock),
+		admission: newSem(cfg.MaxConcurrent, cfg.MaxConcurrent+cfg.MaxQueue),
+		pool:      newSem(runtime.GOMAXPROCS(0), 0),
 	}
 	s.grid.AttachTracer(s.tracer)
 	// Every metrics surface renders from one registry: the process scope
@@ -210,7 +207,7 @@ func New(cfg Config) *Server {
 			mon:    &Monitor{},
 			grid:   experiments.NewMonitor(),
 			bucket: newTokenBucket(cfg.TenantRate, cfg.TenantBurst, cfg.clock),
-			cells:  make(chan struct{}, cfg.TenantCells),
+			cells:  newSem(cfg.TenantCells, 0),
 		}
 		s.reg.RegisterTenant(name, func() []telemetry.Metric { return t.mon.Snapshot().Metrics() })
 		s.reg.RegisterTenant(name, func() []telemetry.Metric { return t.grid.Snapshot().Metrics() })
@@ -283,29 +280,20 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant) (relea
 		s.refuse(w, http.StatusTooManyRequests, wait, "tenant quota exhausted")
 		return nil, false
 	}
-	if n := s.queued.Add(1); n > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
-		s.queued.Add(-1)
+	release, ok = s.admission.acquire(r.Context().Done(), 1)
+	if !ok {
+		msg := "admission queue full"
+		if r.Context().Err() != nil {
+			msg = "request cancelled while queued" // the client gave up, or its deadline fired
+		}
 		s.agg.shedOne()
 		t.mon.shedOne()
-		s.refuse(w, http.StatusTooManyRequests, s.retryAfter(), "admission queue full")
-		return nil, false
-	}
-	select {
-	case s.slots <- struct{}{}:
-	case <-r.Context().Done():
-		// Client gave up (or its deadline fired) while queued.
-		s.queued.Add(-1)
-		s.agg.shedOne()
-		t.mon.shedOne()
-		s.refuse(w, http.StatusTooManyRequests, s.retryAfter(), "request cancelled while queued")
+		s.refuse(w, http.StatusTooManyRequests, s.retryAfter(), msg)
 		return nil, false
 	}
 	s.agg.admit()
 	t.mon.admit()
-	return func() {
-		<-s.slots
-		s.queued.Add(-1)
-	}, true
+	return release, true
 }
 
 // retryAfter derives a shed backoff from observed service time: the

@@ -421,7 +421,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	}
 	// One request executing (parked on the gate), one queued.
 	waitFor(t, "slot occupied and queue full", func() bool {
-		return s.queued.Load() == 2
+		return s.admission.load() == 2
 	})
 
 	// The third arrival must be shed, with a backoff hint.

@@ -18,6 +18,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"twolevel/internal/predictor"
+	"twolevel/internal/spec"
 )
 
 // streamRequest posts a streaming grid request and decodes every NDJSON
@@ -382,5 +385,54 @@ func TestStreamKeepalive(t *testing.T) {
 	}
 	if cells != 1 || !sawSummary {
 		t.Fatalf("after the gate opened: %d cells, summary=%v", cells, sawSummary)
+	}
+}
+
+// TestStreamSummaryCountsCellsFailedWaitingForSlots: a streamed grid
+// whose deadline expires while it waits for its tenant's cell slot must
+// still account for every planned cell in its summary line.
+func TestStreamSummaryCountsCellsFailedWaitingForSlots(t *testing.T) {
+	holdSpec := spec.MustParse("GAg(HR(1,,8-sr),1xPHT(2^8,A2))").String()
+	gate := make(chan struct{})
+	holding := make(chan struct{})
+	var once sync.Once
+	cfg := Config{TenantCells: 1}
+	cfg.buildPredictor = func(sp spec.Spec, td *spec.TrainingData) (predictor.Predictor, error) {
+		p, err := spec.Build(sp, td)
+		if err != nil || sp.String() != holdSpec {
+			return p, err
+		}
+		// Built only once the cell slots are taken.
+		once.Do(func() { close(holding) })
+		return &blockingPredictor{Predictor: p, gate: gate}, nil
+	}
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	held := make(chan int, 1)
+	go func() {
+		res, _ := postGrid(t, ts.Client(), ts.URL, "shared", GridRequest{
+			Bench: testBench, Specs: []string{holdSpec}, Branches: testBranches,
+		})
+		held <- res.StatusCode
+	}()
+	<-holding
+
+	events := streamRequest(t, ts.Client(), ts.URL, "shared", GridRequest{
+		Bench: testBench, Specs: testSpecs, Branches: testBranches, Stream: true, TimeoutMS: 200,
+	})
+	close(gate)
+	if status := <-held; status != http.StatusOK {
+		t.Errorf("holding request status = %d", status)
+	}
+	last := events[len(events)-1]
+	if last.Type != "summary" {
+		t.Fatalf("last event = %+v, want the summary", last)
+	}
+	sum := last.Summary
+	if sum.Completed+sum.Failed != len(testSpecs) || sum.Failed == 0 {
+		t.Fatalf("summary completed=%d failed=%d, want %d cells accounted with failures",
+			sum.Completed, sum.Failed, len(testSpecs))
 	}
 }
