@@ -57,8 +57,10 @@ func (p *Program) Size() int { return len(p.Image) }
 
 type statement struct {
 	line int // 1-based source line
-	// one of:
-	inst   *isa.Inst
+	// one of (an instruction is held by value: most statements are
+	// instructions, and a pointer would cost one allocation each):
+	isInst bool
+	inst   isa.Inst
 	target string // label operand for branch instructions (resolved pass 2)
 	word   *wordDirective
 	space  int
@@ -80,9 +82,10 @@ type assembler struct {
 
 // Assemble assembles source into a Program.
 func Assemble(src string) (*Program, error) {
-	a := &assembler{labels: make(map[string]uint32)}
+	lines := strings.Split(src, "\n")
+	a := &assembler{labels: make(map[string]uint32), stmts: make([]statement, 0, len(lines))}
 	// Pass 1: parse, size, collect labels.
-	for i, raw := range strings.Split(src, "\n") {
+	for i, raw := range lines {
 		if err := a.parseLine(i+1, raw); err != nil {
 			return nil, fmt.Errorf("asm: line %d: %v (%q)", i+1, err, strings.TrimSpace(raw))
 		}
@@ -98,8 +101,8 @@ func Assemble(src string) (*Program, error) {
 	off := uint32(0)
 	for _, st := range a.stmts {
 		switch {
-		case st.inst != nil:
-			in := *st.inst
+		case st.isInst:
+			in := st.inst
 			if st.target != "" {
 				switch {
 				case strings.HasPrefix(st.target, "hi:"):
@@ -165,7 +168,14 @@ func (a *assembler) resolve(label string) (uint32, error) {
 	return 0, fmt.Errorf("undefined label %q", label)
 }
 
+// resolveValue resolves a number or a label. Labels are looked up first:
+// no label can parse as a number (labels never start with a digit or a
+// sign), and the lookup spares every label operand a failed parseNum and
+// the error value it builds.
 func (a *assembler) resolveValue(v string) (uint32, error) {
+	if addr, ok := a.labels[v]; ok {
+		return addr, nil
+	}
 	if n, err := parseNum(v); err == nil {
 		return uint32(n), nil
 	}
@@ -200,12 +210,8 @@ func (a *assembler) parseLine(line int, raw string) error {
 	if s == "" {
 		return nil
 	}
-	fields := strings.SplitN(s, " ", 2)
-	mnemonic := fields[0]
-	var rest string
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
+	mnemonic, rest, _ := strings.Cut(s, " ")
+	rest = strings.TrimSpace(rest)
 	if strings.HasPrefix(mnemonic, ".") {
 		return a.directive(line, mnemonic, rest)
 	}
@@ -271,7 +277,7 @@ func (a *assembler) markData() {
 }
 
 func (a *assembler) emit(line int, in isa.Inst, target string) {
-	a.stmts = append(a.stmts, statement{line: line, inst: &in, target: target})
+	a.stmts = append(a.stmts, statement{line: line, isInst: true, inst: in, target: target})
 	a.pc += 4
 }
 
@@ -477,10 +483,8 @@ func validLabel(s string) bool {
 		}
 	}
 	// Register names and mnemonics could collide; forbid rN forms.
-	if _, err := parseReg(s); err == nil {
-		return false
-	}
-	return true
+	_, reg := regNum(s)
+	return !reg
 }
 
 func splitOperands(s string) []string {
@@ -488,29 +492,58 @@ func splitOperands(s string) []string {
 		return nil
 	}
 	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
 	}
-	return out
+	return parts
 }
 
 func parseReg(s string) (uint8, error) {
-	switch s {
-	case "zero":
-		return isa.R0, nil
-	case "sp":
-		return isa.RSP, nil
-	case "ra":
-		return isa.RLink, nil
-	}
-	if len(s) >= 2 && s[0] == 'r' {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n < isa.NumRegs {
-			return uint8(n), nil
-		}
+	if n, ok := regNum(s); ok {
+		return n, nil
 	}
 	return 0, fmt.Errorf("invalid register %q", s)
+}
+
+// regNum reports whether s names a register, and which: "zero", "sp",
+// "ra", or r<n> with n in [0, NumRegs) written the way strconv.Atoi
+// reads it (an optional sign, then decimal digits). It builds no error
+// value, so validLabel can probe every label with it for free.
+func regNum(s string) (uint8, bool) {
+	switch s {
+	case "zero":
+		return isa.R0, true
+	case "sp":
+		return isa.RSP, true
+	case "ra":
+		return isa.RLink, true
+	}
+	if len(s) < 2 || s[0] != 'r' {
+		return 0, false
+	}
+	digits := s[1:]
+	neg := false
+	if digits[0] == '+' || digits[0] == '-' {
+		neg = digits[0] == '-'
+		digits = digits[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		d := digits[i]
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(d-'0'); n >= isa.NumRegs {
+			return 0, false
+		}
+	}
+	if neg && n != 0 {
+		return 0, false
+	}
+	return uint8(n), true
 }
 
 func parseNum(s string) (int64, error) {

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"encoding/binary"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -326,6 +327,39 @@ func BenchmarkAssembleLargeProgram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Assemble(src); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRegNumMatchesAtoi pins regNum to the strconv.Atoi reading of r<n>
+// it replaced, signs and leading zeros included.
+func TestRegNumMatchesAtoi(t *testing.T) {
+	atoiReg := func(s string) (uint8, bool) {
+		switch s {
+		case "zero":
+			return isa.R0, true
+		case "sp":
+			return isa.RSP, true
+		case "ra":
+			return isa.RLink, true
+		}
+		if len(s) >= 2 && s[0] == 'r' {
+			n, err := strconv.Atoi(s[1:])
+			if err == nil && n >= 0 && n < isa.NumRegs {
+				return uint8(n), true
+			}
+		}
+		return 0, false
+	}
+	for _, s := range []string{
+		"", "r", "r0", "r9", "r31", "r32", "r99", "r007", "r0031", "r+3", "r-0", "r-00",
+		"r-1", "r+", "r-", "r3x", "rx", "R1", "zero", "sp", "ra", "spx", "r_loop", "r1.5",
+		"r99999999999999999999", "r00000000000000000000000000031", " r1", "r 1",
+	} {
+		gn, gok := regNum(s)
+		wn, wok := atoiReg(s)
+		if gn != wn || gok != wok {
+			t.Errorf("regNum(%q) = %d, %v; Atoi reading %d, %v", s, gn, gok, wn, wok)
 		}
 	}
 }

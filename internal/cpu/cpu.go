@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	mathbits "math/bits"
 	"sync/atomic"
 
 	"twolevel/internal/asm"
@@ -48,6 +49,15 @@ const DefaultMemSize = 1 << 22
 // into their data-generation seeds).
 const RunCounterAddr = 0x0FF0
 
+// pageShift sizes the pages Reset tracks: stores mark their 4 KiB page
+// dirty, and Reset re-zeroes only the marked pages.
+const pageShift = 12
+
+// opUndecodable marks a text word that failed to decode. New predecodes
+// the whole text segment, but a bad word faults only when executed,
+// exactly as a lazily decoding fetch would.
+const opUndecodable = isa.Op(isa.NumOps)
+
 // CPU is one processor executing one program.
 type CPU struct {
 	prog    *asm.Program
@@ -58,29 +68,40 @@ type CPU struct {
 	instret uint64
 
 	textStart, textEnd uint32
-	icache             []isa.Inst
-	idecoded           []bool
+	// code is the text segment decoded once by New: code[i] is the
+	// instruction at codeBase+4*i.
+	code     []isa.Inst
+	codeBase uint32
+
+	// dirty has one bit per memory page written since the last Reset.
+	dirty []uint64
 
 	sinceEvent uint32
 
 	// profile counts retired instructions per opcode when profiling is
-	// enabled (nil otherwise: the common case pays nothing).
+	// enabled (nil otherwise: the common case pays nothing). Its extra
+	// last slot absorbs opUndecodable and is not exposed.
 	profile []uint64
 }
 
 // EnableProfile turns on per-opcode retirement counting.
 func (c *CPU) EnableProfile() {
 	if c.profile == nil {
-		c.profile = make([]uint64, isa.NumOps)
+		c.profile = make([]uint64, isa.NumOps+1)
 	}
 }
 
 // Profile returns the per-opcode retirement counts (nil when profiling
 // was never enabled). Index with isa.Op values.
-func (c *CPU) Profile() []uint64 { return c.profile }
+func (c *CPU) Profile() []uint64 {
+	if c.profile == nil {
+		return nil
+	}
+	return c.profile[:isa.NumOps:isa.NumOps]
+}
 
 // New creates a CPU with memSize bytes of memory (DefaultMemSize if 0)
-// loaded with prog, ready to run.
+// loaded with prog, ready to run. The text segment is decoded here, once.
 func New(prog *asm.Program, memSize int) (*CPU, error) {
 	if memSize == 0 {
 		memSize = DefaultMemSize
@@ -93,25 +114,42 @@ func New(prog *asm.Program, memSize int) (*CPU, error) {
 		return nil, fmt.Errorf("cpu: program [%#x,%#x) exceeds memory size %#x", prog.Base, end, memSize)
 	}
 	constructions.Add(1)
-	nText := (prog.TextEnd - prog.Base) / 4
+	pages := (memSize + 1<<pageShift - 1) >> pageShift
 	c := &CPU{
 		prog:      prog,
 		mem:       make([]byte, memSize),
 		textStart: prog.Base,
 		textEnd:   prog.TextEnd,
-		icache:    make([]isa.Inst, nText),
-		idecoded:  make([]bool, nText),
+		codeBase:  (prog.Base + 3) &^ 3,
+		dirty:     make([]uint64, (pages+63)/64),
 	}
 	c.Reset()
+	if c.codeBase < c.textEnd {
+		c.code = make([]isa.Inst, (c.textEnd-c.codeBase+3)/4)
+	}
+	for i := range c.code {
+		in, err := isa.Decode(binary.LittleEndian.Uint32(c.mem[c.codeBase+uint32(4*i):]))
+		if err != nil {
+			in.Op = opUndecodable
+		}
+		c.code[i] = in
+	}
 	return c, nil
 }
 
 // Reset reloads the program image, clears registers and restarts at the
-// entry point. The decoded-instruction cache is retained (text is
+// entry point. Only the pages written since the last Reset are zeroed
+// before the image is copied back; the decoded text is retained (text is
 // immutable). The stack pointer is set to the top of memory.
 func (c *CPU) Reset() {
-	for i := range c.mem {
-		c.mem[i] = 0
+	for w, bits := range c.dirty {
+		for bits != 0 {
+			page := w*64 + mathbits.TrailingZeros64(bits)
+			bits &= bits - 1
+			lo := page << pageShift
+			clear(c.mem[lo:min(lo+1<<pageShift, len(c.mem))])
+		}
+		c.dirty[w] = 0
 	}
 	copy(c.mem[c.prog.Base:], c.prog.Image)
 	c.regs = [isa.NumRegs]uint32{}
@@ -119,6 +157,12 @@ func (c *CPU) Reset() {
 	c.pc = c.prog.Entry()
 	c.halted = false
 	c.sinceEvent = 0
+}
+
+// markDirty records a write to the page holding addr for Reset.
+func (c *CPU) markDirty(addr uint32) {
+	page := addr >> pageShift
+	c.dirty[page/64] |= 1 << (page % 64)
 }
 
 // Halted reports whether the program has executed HALT.
@@ -147,6 +191,7 @@ func (c *CPU) StoreWord(addr, v uint32) error {
 		return fmt.Errorf("cpu: StoreWord address %#x invalid", addr)
 	}
 	binary.LittleEndian.PutUint32(c.mem[addr:], v)
+	c.markDirty(addr)
 	return nil
 }
 
@@ -158,251 +203,8 @@ func (c *CPU) LoadWord(addr uint32) (uint32, error) {
 	return binary.LittleEndian.Uint32(c.mem[addr:]), nil
 }
 
-// fetch returns the decoded instruction at pc.
-func (c *CPU) fetch(pc uint32) (isa.Inst, error) {
-	if pc < c.textStart || pc >= c.textEnd {
-		return isa.Inst{}, fmt.Errorf("cpu: pc %#x outside text [%#x,%#x)", pc, c.textStart, c.textEnd)
-	}
-	if pc%4 != 0 {
-		return isa.Inst{}, fmt.Errorf("cpu: unaligned pc %#x", pc)
-	}
-	idx := (pc - c.textStart) / 4
-	if !c.idecoded[idx] {
-		in, err := isa.Decode(binary.LittleEndian.Uint32(c.mem[pc:]))
-		if err != nil {
-			return isa.Inst{}, fmt.Errorf("cpu: at pc %#x: %v", pc, err)
-		}
-		c.icache[idx] = in
-		c.idecoded[idx] = true
-	}
-	return c.icache[idx], nil
-}
-
-func (c *CPU) load(addr uint32, size int) (uint32, error) {
-	if int64(addr)+int64(size) > int64(len(c.mem)) {
-		return 0, fmt.Errorf("cpu: load beyond memory at %#x", addr)
-	}
-	if size == 4 {
-		if addr%4 != 0 {
-			return 0, fmt.Errorf("cpu: unaligned word load at %#x", addr)
-		}
-		return binary.LittleEndian.Uint32(c.mem[addr:]), nil
-	}
-	return uint32(c.mem[addr]), nil
-}
-
-func (c *CPU) store(addr uint32, size int, v uint32) error {
-	if int64(addr)+int64(size) > int64(len(c.mem)) {
-		return fmt.Errorf("cpu: store beyond memory at %#x", addr)
-	}
-	if addr+uint32(size) > c.textStart && addr < c.textEnd {
-		return fmt.Errorf("cpu: store into text segment at %#x (self-modifying code is unsupported)", addr)
-	}
-	if size == 4 {
-		if addr%4 != 0 {
-			return fmt.Errorf("cpu: unaligned word store at %#x", addr)
-		}
-		binary.LittleEndian.PutUint32(c.mem[addr:], v)
-	} else {
-		c.mem[addr] = byte(v)
-	}
-	return nil
-}
-
 func f32(v uint32) float32    { return math.Float32frombits(v) }
 func bits32(f float32) uint32 { return math.Float32bits(f) }
-
-// Step executes one instruction. If the instruction generates a trace
-// event (a branch or a trap) it is returned with emitted true. After HALT
-// (or on a halted CPU) Step returns emitted false and no error.
-func (c *CPU) Step() (ev trace.Event, emitted bool, err error) {
-	if c.halted {
-		return trace.Event{}, false, nil
-	}
-	in, err := c.fetch(c.pc)
-	if err != nil {
-		return trace.Event{}, false, err
-	}
-	c.instret++
-	c.sinceEvent++
-	if c.profile != nil {
-		c.profile[in.Op]++
-	}
-	next := c.pc + 4
-	r := &c.regs
-	rs1 := r[in.Rs1]
-	rs2 := r[in.Rs2]
-
-	setRd := func(v uint32) {
-		if in.Rd != isa.R0 {
-			r[in.Rd] = v
-		}
-	}
-	branchEvent := func(target uint32, class trace.Class, taken bool) trace.Event {
-		e := trace.Event{
-			Instrs: c.sinceEvent,
-			Branch: trace.Branch{PC: c.pc, Target: target, Class: class, Taken: taken},
-		}
-		c.sinceEvent = 0
-		return e
-	}
-
-	switch in.Op {
-	case isa.ADD:
-		setRd(rs1 + rs2)
-	case isa.SUB:
-		setRd(rs1 - rs2)
-	case isa.MUL:
-		setRd(rs1 * rs2)
-	case isa.DIV:
-		if rs2 == 0 {
-			setRd(0)
-		} else if int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
-			setRd(rs1) // overflow wraps
-		} else {
-			setRd(uint32(int32(rs1) / int32(rs2)))
-		}
-	case isa.REM:
-		if rs2 == 0 {
-			setRd(0)
-		} else if int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
-			setRd(0)
-		} else {
-			setRd(uint32(int32(rs1) % int32(rs2)))
-		}
-	case isa.AND:
-		setRd(rs1 & rs2)
-	case isa.OR:
-		setRd(rs1 | rs2)
-	case isa.XOR:
-		setRd(rs1 ^ rs2)
-	case isa.SLL:
-		setRd(rs1 << (rs2 & 31))
-	case isa.SRL:
-		setRd(rs1 >> (rs2 & 31))
-	case isa.SRA:
-		setRd(uint32(int32(rs1) >> (rs2 & 31)))
-	case isa.SLT:
-		setRd(b2u(int32(rs1) < int32(rs2)))
-	case isa.SLTU:
-		setRd(b2u(rs1 < rs2))
-	case isa.FADD:
-		setRd(bits32(f32(rs1) + f32(rs2)))
-	case isa.FSUB:
-		setRd(bits32(f32(rs1) - f32(rs2)))
-	case isa.FMUL:
-		setRd(bits32(f32(rs1) * f32(rs2)))
-	case isa.FDIV:
-		setRd(bits32(f32(rs1) / f32(rs2)))
-	case isa.FCMP:
-		a, b := f32(rs1), f32(rs2)
-		switch {
-		case a < b:
-			setRd(uint32(0xFFFFFFFF)) // -1
-		case a > b:
-			setRd(1)
-		default:
-			setRd(0) // equal or unordered
-		}
-	case isa.CVTIF:
-		setRd(bits32(float32(int32(rs1))))
-	case isa.CVTFI:
-		// Compare in float64: float32(MaxInt32) rounds UP to 2^31, so a
-		// float32 comparison would let 2^31 through to an out-of-range
-		// (implementation-defined) conversion.
-		f := float64(f32(rs1))
-		if f != f || f >= 1<<31 || f < -(1<<31) {
-			setRd(0)
-		} else {
-			setRd(uint32(int32(f)))
-		}
-
-	case isa.ADDI:
-		setRd(rs1 + uint32(in.Imm))
-	case isa.ANDI:
-		setRd(rs1 & uint32(uint16(in.Imm)))
-	case isa.ORI:
-		setRd(rs1 | uint32(uint16(in.Imm)))
-	case isa.XORI:
-		setRd(rs1 ^ uint32(uint16(in.Imm)))
-	case isa.SLLI:
-		setRd(rs1 << (uint32(in.Imm) & 31))
-	case isa.SRLI:
-		setRd(rs1 >> (uint32(in.Imm) & 31))
-	case isa.SRAI:
-		setRd(uint32(int32(rs1) >> (uint32(in.Imm) & 31)))
-	case isa.SLTI:
-		setRd(b2u(int32(rs1) < in.Imm))
-	case isa.LUI:
-		setRd(uint32(uint16(in.Imm)) << 16)
-	case isa.LW:
-		v, err := c.load(rs1+uint32(in.Imm), 4)
-		if err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-		setRd(v)
-	case isa.LB:
-		v, err := c.load(rs1+uint32(in.Imm), 1)
-		if err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-		setRd(v)
-	case isa.SW:
-		if err := c.store(rs1+uint32(in.Imm), 4, r[in.Rd]); err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-	case isa.SB:
-		if err := c.store(rs1+uint32(in.Imm), 1, r[in.Rd]); err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-
-	case isa.BCND:
-		target := c.pc + uint32(in.Imm)*4
-		taken := in.Cond.Holds(rs1)
-		ev = branchEvent(target, trace.Cond, taken)
-		emitted = true
-		if taken {
-			next = target
-		}
-	case isa.BR:
-		target := c.pc + uint32(in.Imm)*4
-		ev = branchEvent(target, trace.Uncond, true)
-		emitted = true
-		next = target
-	case isa.BSR:
-		target := c.pc + uint32(in.Imm)*4
-		r[isa.RLink] = c.pc + 4
-		ev = branchEvent(target, trace.Call, true)
-		emitted = true
-		next = target
-	case isa.JMP:
-		class := trace.Indirect
-		if in.Rs1 == isa.RLink {
-			class = trace.Return
-		}
-		ev = branchEvent(rs1, class, true)
-		emitted = true
-		next = rs1
-	case isa.JSR:
-		target := rs1
-		r[isa.RLink] = c.pc + 4
-		ev = branchEvent(target, trace.Call, true)
-		emitted = true
-		next = target
-
-	case isa.TRAP:
-		ev = trace.Event{Instrs: c.sinceEvent, Trap: true}
-		c.sinceEvent = 0
-		emitted = true
-	case isa.HALT:
-		c.halted = true
-		return trace.Event{}, false, nil
-	default:
-		return trace.Event{}, false, fmt.Errorf("cpu: unimplemented opcode %v at pc %#x", in.Op, c.pc)
-	}
-	c.pc = next
-	return ev, emitted, nil
-}
 
 func b2u(b bool) uint32 {
 	if b {
@@ -411,20 +213,318 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
+// Fault kinds passed from the core to fault.
+const (
+	faultFetch = iota
+	faultUndecodable
+	faultLoadBounds
+	faultStoreBounds
+	faultStoreText
+	faultUnalignedLoad
+	faultUnalignedStore
+	faultOpcode
+)
+
+// fault builds the error for a fault the core detected at pc (addr is
+// the data address of a load or store). Faults end a run, so this is the
+// cold path and formatting here costs nothing per instruction.
+func (c *CPU) fault(kind int, pc, addr uint32) error {
+	var err error
+	switch kind {
+	case faultFetch:
+		if pc < c.textStart || pc >= c.textEnd {
+			return fmt.Errorf("cpu: pc %#x outside text [%#x,%#x)", pc, c.textStart, c.textEnd)
+		}
+		return fmt.Errorf("cpu: unaligned pc %#x", pc)
+	case faultUndecodable:
+		_, err = isa.Decode(binary.LittleEndian.Uint32(c.mem[pc:]))
+		return fmt.Errorf("cpu: at pc %#x: %v", pc, err)
+	case faultOpcode:
+		return fmt.Errorf("cpu: unimplemented opcode %v at pc %#x", c.code[(pc-c.codeBase)>>2].Op, pc)
+	case faultLoadBounds:
+		err = fmt.Errorf("cpu: load beyond memory at %#x", addr)
+	case faultStoreBounds:
+		err = fmt.Errorf("cpu: store beyond memory at %#x", addr)
+	case faultStoreText:
+		err = fmt.Errorf("cpu: store into text segment at %#x (self-modifying code is unsupported)", addr)
+	case faultUnalignedLoad:
+		err = fmt.Errorf("cpu: unaligned word load at %#x", addr)
+	case faultUnalignedStore:
+		err = fmt.Errorf("cpu: unaligned word store at %#x", addr)
+	}
+	return fmt.Errorf("%v (pc %#x)", err, pc)
+}
+
+// exec is the interpreter: the one loop and the one opcode switch behind
+// Step, Run and Source.Next. It retires instructions until limit have
+// retired, the program halts, an instruction faults, or — with
+// stopAtEvent — one emits a trace event, which it then returns. The pc,
+// the event distance and the retirement count live in locals and are
+// written back once on the way out. On a fault the pc stays on the
+// faulting instruction; a fetch fault retires nothing, an execute fault
+// retires the faulting instruction.
+func (c *CPU) exec(limit uint64, stopAtEvent bool) (ev trace.Event, emitted bool, err error) {
+	if c.halted {
+		return ev, false, nil
+	}
+	var (
+		r        = &c.regs
+		mem      = c.mem
+		memLen   = uint64(len(c.mem))
+		code     = c.code
+		codeBase = c.codeBase
+		start    = c.textStart
+		textLen  = c.textEnd - c.textStart
+		textEnd  = c.textEnd
+		prof     = c.profile
+		pc       = c.pc
+		since    = c.sinceEvent
+		n        uint64
+		noEvent  trace.Event
+	)
+loop:
+	for n < limit {
+		if pc-start >= textLen || pc&3 != 0 {
+			err = c.fault(faultFetch, pc, 0)
+			break
+		}
+		in := &code[(pc-codeBase)>>2]
+		n++
+		since++
+		if prof != nil {
+			prof[in.Op]++
+		}
+		next := pc + 4
+		rd := in.Rd & 31
+		rs1 := r[in.Rs1&31]
+		rs2 := r[in.Rs2&31]
+		switch in.Op {
+		case isa.ADD:
+			r[rd] = rs1 + rs2
+		case isa.SUB:
+			r[rd] = rs1 - rs2
+		case isa.MUL:
+			r[rd] = rs1 * rs2
+		case isa.DIV:
+			switch {
+			case rs2 == 0:
+				r[rd] = 0
+			case int32(rs1) == math.MinInt32 && int32(rs2) == -1:
+				r[rd] = rs1 // overflow wraps
+			default:
+				r[rd] = uint32(int32(rs1) / int32(rs2))
+			}
+		case isa.REM:
+			if rs2 == 0 || int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
+				r[rd] = 0
+			} else {
+				r[rd] = uint32(int32(rs1) % int32(rs2))
+			}
+		case isa.AND:
+			r[rd] = rs1 & rs2
+		case isa.OR:
+			r[rd] = rs1 | rs2
+		case isa.XOR:
+			r[rd] = rs1 ^ rs2
+		case isa.SLL:
+			r[rd] = rs1 << (rs2 & 31)
+		case isa.SRL:
+			r[rd] = rs1 >> (rs2 & 31)
+		case isa.SRA:
+			r[rd] = uint32(int32(rs1) >> (rs2 & 31))
+		case isa.SLT:
+			r[rd] = b2u(int32(rs1) < int32(rs2))
+		case isa.SLTU:
+			r[rd] = b2u(rs1 < rs2)
+		case isa.FADD:
+			r[rd] = bits32(f32(rs1) + f32(rs2))
+		case isa.FSUB:
+			r[rd] = bits32(f32(rs1) - f32(rs2))
+		case isa.FMUL:
+			r[rd] = bits32(f32(rs1) * f32(rs2))
+		case isa.FDIV:
+			r[rd] = bits32(f32(rs1) / f32(rs2))
+		case isa.FCMP:
+			a, b := f32(rs1), f32(rs2)
+			switch {
+			case a < b:
+				r[rd] = 0xFFFFFFFF // -1
+			case a > b:
+				r[rd] = 1
+			default:
+				r[rd] = 0 // equal or unordered
+			}
+		case isa.CVTIF:
+			r[rd] = bits32(float32(int32(rs1)))
+		case isa.CVTFI:
+			// Compare in float64: float32(MaxInt32) rounds UP to 2^31, so a
+			// float32 comparison would let 2^31 through to an out-of-range
+			// (implementation-defined) conversion.
+			f := float64(f32(rs1))
+			if f != f || f >= 1<<31 || f < -(1<<31) {
+				r[rd] = 0
+			} else {
+				r[rd] = uint32(int32(f))
+			}
+
+		case isa.ADDI:
+			r[rd] = rs1 + uint32(in.Imm)
+		case isa.ANDI:
+			r[rd] = rs1 & uint32(uint16(in.Imm))
+		case isa.ORI:
+			r[rd] = rs1 | uint32(uint16(in.Imm))
+		case isa.XORI:
+			r[rd] = rs1 ^ uint32(uint16(in.Imm))
+		case isa.SLLI:
+			r[rd] = rs1 << (uint32(in.Imm) & 31)
+		case isa.SRLI:
+			r[rd] = rs1 >> (uint32(in.Imm) & 31)
+		case isa.SRAI:
+			r[rd] = uint32(int32(rs1) >> (uint32(in.Imm) & 31))
+		case isa.SLTI:
+			r[rd] = b2u(int32(rs1) < in.Imm)
+		case isa.LUI:
+			r[rd] = uint32(uint16(in.Imm)) << 16
+		case isa.LW:
+			addr := rs1 + uint32(in.Imm)
+			if uint64(addr)+4 > memLen {
+				err = c.fault(faultLoadBounds, pc, addr)
+				break loop
+			}
+			if addr&3 != 0 {
+				err = c.fault(faultUnalignedLoad, pc, addr)
+				break loop
+			}
+			r[rd] = binary.LittleEndian.Uint32(mem[addr:])
+		case isa.LB:
+			addr := rs1 + uint32(in.Imm)
+			if uint64(addr) >= memLen {
+				err = c.fault(faultLoadBounds, pc, addr)
+				break loop
+			}
+			r[rd] = uint32(mem[addr])
+		case isa.SW:
+			addr := rs1 + uint32(in.Imm)
+			if uint64(addr)+4 > memLen {
+				err = c.fault(faultStoreBounds, pc, addr)
+				break loop
+			}
+			if addr+4 > start && addr < textEnd {
+				err = c.fault(faultStoreText, pc, addr)
+				break loop
+			}
+			if addr&3 != 0 {
+				err = c.fault(faultUnalignedStore, pc, addr)
+				break loop
+			}
+			binary.LittleEndian.PutUint32(mem[addr:], r[rd])
+			c.markDirty(addr)
+		case isa.SB:
+			addr := rs1 + uint32(in.Imm)
+			if uint64(addr) >= memLen {
+				err = c.fault(faultStoreBounds, pc, addr)
+				break loop
+			}
+			if addr+1 > start && addr < textEnd {
+				err = c.fault(faultStoreText, pc, addr)
+				break loop
+			}
+			mem[addr] = byte(r[rd])
+			c.markDirty(addr)
+
+		case isa.BCND:
+			ev.Branch.Target = pc + uint32(in.Imm)*4
+			ev.Branch.Class = trace.Cond
+			ev.Branch.Taken = in.Cond.Holds(rs1)
+			if ev.Branch.Taken {
+				next = ev.Branch.Target
+			}
+			emitted = true
+		case isa.BR:
+			ev.Branch.Target = pc + uint32(in.Imm)*4
+			ev.Branch.Class = trace.Uncond
+			ev.Branch.Taken = true
+			next = ev.Branch.Target
+			emitted = true
+		case isa.BSR:
+			ev.Branch.Target = pc + uint32(in.Imm)*4
+			ev.Branch.Class = trace.Call
+			ev.Branch.Taken = true
+			r[isa.RLink] = pc + 4
+			next = ev.Branch.Target
+			emitted = true
+		case isa.JMP:
+			ev.Branch.Target = rs1
+			ev.Branch.Class = trace.Indirect
+			if in.Rs1 == isa.RLink {
+				ev.Branch.Class = trace.Return
+			}
+			ev.Branch.Taken = true
+			next = rs1
+			emitted = true
+		case isa.JSR:
+			ev.Branch.Target = rs1
+			ev.Branch.Class = trace.Call
+			ev.Branch.Taken = true
+			r[isa.RLink] = pc + 4
+			next = rs1
+			emitted = true
+
+		case isa.TRAP:
+			ev.Trap = true
+			emitted = true
+		case isa.HALT:
+			c.halted = true
+			break loop
+		case opUndecodable:
+			// A fetch fault: the word never retires.
+			n--
+			since--
+			err = c.fault(faultUndecodable, pc, 0)
+			break loop
+		default:
+			err = c.fault(faultOpcode, pc, 0)
+			break loop
+		}
+		r[0] = 0
+		if emitted {
+			ev.Instrs = since
+			if !ev.Trap {
+				ev.Branch.PC = pc
+			}
+			since = 0
+			pc = next
+			if stopAtEvent {
+				break
+			}
+			ev, emitted = noEvent, false
+		} else {
+			pc = next
+		}
+	}
+	c.pc = pc
+	c.sinceEvent = since
+	c.instret += n
+	return ev, emitted, err
+}
+
+// Step executes one instruction. If the instruction generates a trace
+// event (a branch or a trap) it is returned with emitted true. After HALT
+// (or on a halted CPU) Step returns emitted false and no error.
+func (c *CPU) Step() (ev trace.Event, emitted bool, err error) {
+	return c.exec(1, true)
+}
+
 // Run executes until the program halts or maxInstrs instructions retire
 // (0 = no limit), discarding events. It returns the number of
 // instructions retired by this call.
 func (c *CPU) Run(maxInstrs uint64) (uint64, error) {
-	start := c.instret
-	for !c.halted {
-		if maxInstrs > 0 && c.instret-start >= maxInstrs {
-			break
-		}
-		if _, _, err := c.Step(); err != nil {
-			return c.instret - start, err
-		}
+	if maxInstrs == 0 {
+		maxInstrs = math.MaxUint64
 	}
-	return c.instret - start, nil
+	start := c.instret
+	_, _, err := c.exec(maxInstrs, false)
+	return c.instret - start, err
 }
 
 // Source adapts a CPU into a trace.Source. With Loop set, the program is
@@ -465,7 +565,7 @@ func (s *Source) Next() (trace.Event, error) {
 			}
 			s.eventsAtReset = s.events
 		}
-		ev, emitted, err := s.cpu.Step()
+		ev, emitted, err := s.cpu.exec(math.MaxUint64, true)
 		if err != nil {
 			return trace.Event{}, err
 		}

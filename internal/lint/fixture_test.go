@@ -138,6 +138,10 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/fastpath")
 }
 
+func TestHotAllocCPUFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc/cpu")
+}
+
 func TestLockHeldFixture(t *testing.T) {
 	runFixture(t, LockHeld, "lockheld/server")
 }

@@ -25,12 +25,24 @@ var FlatLoop = &Analyzer{
 	Run:      runFlatLoop,
 }
 
-// hotPrefixes marks the function-name prefixes that form the kernel's
-// per-event replay path.
-var hotPrefixes = []string{"run", "lookup", "flush"}
+// hotPath describes one package's per-event path: the function-name
+// prefixes that form it, what its loops are called in findings, and the
+// benchmark that guards its throughput.
+type hotPath struct {
+	prefixes []string
+	loop     string
+	bench    string
+}
 
-func isHotFuncName(name string) bool {
-	for _, p := range hotPrefixes {
+// hotPaths maps package names to their hot paths: the kernel's replay
+// loops and the interpreter core that generates the traces they replay.
+var hotPaths = map[string]hotPath{
+	"fastpath": {[]string{"run", "lookup", "flush"}, "fast-path", "BenchmarkKernelVsRunner"},
+	"cpu":      {[]string{"exec"}, "interpreter", "BenchmarkCapture"},
+}
+
+func isHotFuncName(pkg, name string) bool {
+	for _, p := range hotPaths[pkg].prefixes {
 		if strings.HasPrefix(name, p) {
 			return true
 		}
@@ -43,7 +55,7 @@ func runFlatLoop(pass *Pass) []Diagnostic {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotFuncName(fd.Name.Name) {
+			if !ok || fd.Body == nil || !isHotFuncName(pass.Pkg.Name(), fd.Name.Name) {
 				continue
 			}
 			// Function literals inside a hot function (e.g. the goroutine

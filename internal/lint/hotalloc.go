@@ -7,26 +7,29 @@ import (
 	"go/types"
 )
 
-// HotAlloc is the static counterpart to BenchmarkKernelVsRunner: the
-// fast-path kernel's throughput (~67M events/sec) depends on its hot
-// loops being allocation-free, and a heap allocation smuggled into a
-// replay loop would erode events/sec without failing any correctness
-// test. The analyzer builds the CFG of every hot function in the
-// fastpath package (run*/lookup*/flush*, which covers the tap-free and
-// Tap twin loops alike) and flags, inside natural loops only, the
-// constructs that heap-allocate or can: make/new/append, composite
-// literals, map inserts, closures, string↔[]byte/[]rune conversions,
-// fmt formatting, and implicit interface boxing. Calls from a hot loop
-// to a same-package helper are checked one level deep: the call is
-// flagged if the helper's body contains an allocation site that does
-// not carry its own //lint:allow hotalloc justification (amortised
-// growth like the Tap's interval arrays is annotated at the site, which
-// clears every hot caller at once).
+// HotAlloc is the static counterpart to BenchmarkKernelVsRunner and
+// BenchmarkCapture: the fast-path kernel's throughput (~67M events/sec)
+// and the interpreter's (~63M instructions/sec) depend on their hot loops
+// being allocation-free, and a heap allocation smuggled into a replay or
+// interpretation loop would erode throughput without failing any
+// correctness test. The analyzer builds the CFG of every hot function —
+// run*/lookup*/flush* in the fastpath package, which covers the tap-free
+// and Tap twin loops alike, and exec* in the cpu package — and flags,
+// inside natural loops only, the constructs that heap-allocate or can:
+// make/new/append, composite literals, map inserts, closures,
+// string↔[]byte/[]rune conversions, fmt formatting, and implicit
+// interface boxing. Calls from a hot loop to a same-package helper are
+// checked one level deep: the call is flagged if the helper's body
+// contains an allocation site (fmt formatting included) that does not
+// carry its own //lint:allow hotalloc justification (amortised growth
+// like the Tap's interval arrays is annotated at the site, which clears
+// every hot caller at once). A block that leaves the loop, such as the
+// interpreter's fault exits, is not in the loop and is not checked.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath hot loops (run*/lookup*/flush*) must not heap-allocate: " +
-		"no make/append/closures/boxing inside the per-event loop",
-	Packages: []string{"fastpath"},
+	Doc: "fastpath hot loops (run*/lookup*/flush*) and the cpu interpreter core (exec*) " +
+		"must not heap-allocate: no make/append/closures/boxing inside the per-event loop",
+	Packages: []string{"fastpath", "cpu"},
 	Run:      runHotAlloc,
 }
 
@@ -49,7 +52,7 @@ func runHotAlloc(pass *Pass) []Diagnostic {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotFuncName(fd.Name.Name) {
+			if !ok || fd.Body == nil || !isHotFuncName(pass.Pkg.Name(), fd.Name.Name) {
 				continue
 			}
 			diags = append(diags, h.checkHotFunc(fd)...)
@@ -85,11 +88,12 @@ func (h *hotAllocPass) checkHotFunc(fd *ast.FuncDecl) []Diagnostic {
 
 // scanNode reports every allocation construct in one CFG leaf node.
 func (h *hotAllocPass) scanNode(node ast.Node, fn string, diags *[]Diagnostic) {
+	hp := hotPaths[h.pass.Pkg.Name()]
 	report := func(pos token.Pos, what string) {
 		*diags = append(*diags, Diagnostic{
 			Pos: pos,
-			Message: fmt.Sprintf("%s in fast-path loop of %s; hoist it out of the per-event path "+
-				"(BenchmarkKernelVsRunner guards this throughput)", what, fn),
+			Message: fmt.Sprintf("%s in %s loop of %s; hoist it out of the per-event path "+
+				"(%s guards this throughput)", what, hp.loop, fn, hp.bench),
 		})
 	}
 	walkLeaf(node, func(n ast.Node) bool {
@@ -161,7 +165,7 @@ func (h *hotAllocPass) scanCall(call *ast.CallExpr, report func(token.Pos, strin
 	}
 	h.checkBoxingCall(call, report)
 	// One level of same-package helper checking.
-	if fn != nil && fn.Pkg() == h.pass.Pkg && !isHotFuncName(fn.Name()) {
+	if fn != nil && fn.Pkg() == h.pass.Pkg && !isHotFuncName(h.pass.Pkg.Name(), fn.Name()) {
 		if sites := h.calleeAllocs(fn); len(sites) > 0 {
 			p := h.pass.Fset.Position(sites[0])
 			report(call.Pos(), fmt.Sprintf("call to %s, which allocates (%s:%d)",
@@ -216,6 +220,9 @@ func (h *hotAllocPass) calleeAllocs(fn *types.Func) []token.Pos {
 						add(n.Pos())
 					}
 				}
+			}
+			if fn := funcObj(h.pass.TypesInfo, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+				add(n.Pos())
 			}
 		}
 		return true

@@ -408,22 +408,14 @@ func (k *Kernel) writeback() {
 // stopIndex returns the exclusive end index of the replay: the index
 // just past the max-th conditional branch after start (the interpretive
 // runner's budget semantics — it stops before consuming the event after
-// the one that met the budget), or len(meta) when the budget is 0 or the
-// snapshot ends first.
-func stopIndex(meta []uint8, start int, max uint64) int {
+// the one that met the budget), or the snapshot's length when the budget
+// is 0 or the snapshot ends first. The snapshot's budget index answers it
+// without walking the meta column.
+func stopIndex(snap trace.Snapshot, start int, max uint64) int {
 	if max == 0 {
-		return len(meta)
+		return snap.Len()
 	}
-	var seen uint64
-	for i := start; i < len(meta); i++ {
-		m := meta[i]
-		if m&trace.MetaTrap == 0 && trace.Class(m>>trace.MetaClassShift) == trace.Cond {
-			if seen++; seen == max {
-				return i + 1
-			}
-		}
-	}
-	return len(meta)
+	return snap.CondsEnd(start, max)
 }
 
 // Run replays snap from event index start, honouring the kernel's
@@ -434,7 +426,7 @@ func stopIndex(meta []uint8, start int, max uint64) int {
 // state is still written back so the caller sees a consistent prefix.
 func (k *Kernel) Run(snap trace.Snapshot, start int) (Counters, int, error) {
 	instrs, pcs, targets, meta := snap.Columns()
-	end := stopIndex(meta, start, k.cfg.MaxCondBranches)
+	end := stopIndex(snap, start, k.cfg.MaxCondBranches)
 	var consumed int
 	var err error
 	switch {

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,17 +16,30 @@ import (
 // benchmark's full capture stays resident cheaply while many replay
 // cursors walk it.
 //
-// Appending is not safe for concurrent use; snapshots taken with View are
-// immutable and may be read from any number of goroutines, including
-// while the Packed keeps growing (appends never mutate the prefix a
-// snapshot covers).
+// Appending and View are not safe for concurrent use (View caches the
+// index prefix it hands out); snapshots taken with View are immutable
+// and may be read from any number of goroutines, including while the
+// Packed keeps growing (appends never mutate the prefix a snapshot
+// covers).
 type Packed struct {
 	instrs  []uint32
 	pcs     []uint32
 	targets []uint32
 	meta    []uint8
 	conds   int
+	// condEnds is the sparse budget index: condEnds[j] is the event
+	// index just past the ((j+1)*condStride)-th conditional branch.
+	condEnds []uint32
+	// lastCut is the index prefix the latest View handed out. Prefixes
+	// never change once written, so Views at the same index length (every
+	// cache hit at one budget) share it instead of allocating a header.
+	lastCut *[]uint32
 }
+
+// condStride is the spacing of the budget index. Finding "the index
+// just past the n-th conditional" reads one index entry and then scans
+// fewer than condStride conditionals, at 4 bytes of index per stride.
+const condStride = 64
 
 // Metadata bit layout: trap flag, taken flag, branch class. Exported so
 // flat replay kernels (internal/sim/fastpath) can decode the packed meta
@@ -62,7 +76,9 @@ func (p *Packed) Append(e Event) {
 	p.targets = append(p.targets, e.Branch.Target)
 	p.meta = append(p.meta, m)
 	if !e.Trap && e.Branch.Class == Cond {
-		p.conds++
+		if p.conds++; p.conds%condStride == 0 {
+			p.condEnds = append(p.condEnds, uint32(len(p.meta)))
+		}
 	}
 }
 
@@ -79,21 +95,7 @@ func (p *Packed) Bytes() int64 { return int64(cap(p.meta)) * 13 }
 // conditional branches (the index just past the nth one), or Len() when
 // the store holds fewer.
 func (p *Packed) eventsForConds(n uint64) int {
-	if n == 0 {
-		return 0
-	}
-	if uint64(p.conds) < n {
-		return p.Len()
-	}
-	var seen uint64
-	for i, m := range p.meta {
-		if m&metaTrap == 0 && Class(m>>metaClass) == Cond {
-			if seen++; seen == n {
-				return i + 1
-			}
-		}
-	}
-	return p.Len()
+	return condsEnd(p.meta, p.condEnds, 0, n)
 }
 
 // View snapshots the first n events. The snapshot stays valid and
@@ -107,11 +109,23 @@ func (p *Packed) View(n int) Snapshot {
 	if n > p.Len() {
 		n = p.Len()
 	}
+	// Keep the index entries that fall inside the prefix (none for a
+	// prefix below one stride, so equal prefixes compare equal however
+	// far p has grown).
+	var ends *[]uint32
+	if k := entriesUpTo(p.condEnds, n); k > 0 {
+		if p.lastCut == nil || len(*p.lastCut) != k {
+			cut := p.condEnds[:k:k]
+			p.lastCut = &cut
+		}
+		ends = p.lastCut
+	}
 	return Snapshot{
-		instrs:  p.instrs[:n:n],
-		pcs:     p.pcs[:n:n],
-		targets: p.targets[:n:n],
-		meta:    p.meta[:n:n],
+		instrs:   p.instrs[:n:n],
+		pcs:      p.pcs[:n:n],
+		targets:  p.targets[:n:n],
+		meta:     p.meta[:n:n],
+		condEnds: ends,
 	}
 }
 
@@ -122,22 +136,88 @@ type Snapshot struct {
 	pcs     []uint32
 	targets []uint32
 	meta    []uint8
+	// condEnds is the Packed budget index cut to this prefix, or nil.
+	// It is held by pointer so a Snapshot stays within one word of its
+	// columns: replay allocates a SnapshotReader per run, and a full
+	// slice header would push that into the next size class.
+	condEnds *[]uint32
 }
 
 // Len returns the number of events in the snapshot.
 func (s Snapshot) Len() int { return len(s.meta) }
 
 // Conds returns the number of conditional branch events in the
-// snapshot (a meta-column scan, not a stored counter — snapshots are
-// cheap prefix views and do not carry derived state).
-func (s Snapshot) Conds() int {
-	n := 0
-	for _, m := range s.meta {
-		if m&metaTrap == 0 && Class(m>>metaClass) == Cond {
+// snapshot.
+func (s Snapshot) Conds() int { return int(condsBefore(s.meta, s.ends(), s.Len())) }
+
+// CondsEnd returns the index just past the n-th conditional branch at or
+// after event start, or Len() when the snapshot holds fewer; start is
+// clamped to [0, Len()], and n == 0 returns start. It is the replay
+// budget's stop index: one index lookup each side plus scans shorter
+// than the index stride, not a walk of the meta column.
+func (s Snapshot) CondsEnd(start int, n uint64) int {
+	return condsEnd(s.meta, s.ends(), start, n)
+}
+
+func (s Snapshot) ends() []uint32 {
+	if s.condEnds == nil {
+		return nil
+	}
+	return *s.condEnds
+}
+
+func isCond(m uint8) bool { return m&metaTrap == 0 && Class(m>>metaClass) == Cond }
+
+// entriesUpTo returns how many budget index entries are at most i.
+func entriesUpTo(ends []uint32, i int) int {
+	k, found := slices.BinarySearch(ends, uint32(i))
+	if found {
+		k++
+	}
+	return k
+}
+
+// condsBefore counts the conditional branches among meta[:i]: the last
+// index entry at or before i, then a scan of the rest.
+func condsBefore(meta []uint8, ends []uint32, i int) uint64 {
+	j := entriesUpTo(ends, i)
+	pos, n := 0, uint64(j)*condStride
+	if j > 0 {
+		pos = int(ends[j-1])
+	}
+	for _, m := range meta[pos:i] {
+		if isCond(m) {
 			n++
 		}
 	}
 	return n
+}
+
+// condsEnd is CondsEnd over a meta column and its budget index.
+func condsEnd(meta []uint8, ends []uint32, start int, n uint64) int {
+	start = max(0, min(start, len(meta)))
+	if n == 0 {
+		return start
+	}
+	target := condsBefore(meta, ends, start) + n
+	j := target / condStride
+	if j > uint64(len(ends)) {
+		return len(meta)
+	}
+	pos, seen := 0, j*condStride
+	if j > 0 {
+		if pos = int(ends[j-1]); seen == target {
+			return pos
+		}
+	}
+	for i, m := range meta[pos:] {
+		if isCond(m) {
+			if seen++; seen == target {
+				return pos + i + 1
+			}
+		}
+	}
+	return len(meta)
 }
 
 // At decodes event i.

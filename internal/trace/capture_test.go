@@ -90,6 +90,54 @@ func TestPackedEventsForConds(t *testing.T) {
 	}
 }
 
+// TestCondsEndMatchesScan checks the budget index against a plain scan
+// of the meta column, for prefixes that end on, just before and just
+// after index entries, and for every start position class.
+func TestCondsEndMatchesScan(t *testing.T) {
+	events := randomEvents(3000, 4)
+	var p Packed
+	for _, e := range events {
+		p.Append(e)
+	}
+	scanEnd := func(s Snapshot, start int, n uint64) int {
+		if n == 0 {
+			return start
+		}
+		var seen uint64
+		for i := start; i < s.Len(); i++ {
+			if e := s.At(i); !e.Trap && e.Branch.Class == Cond {
+				if seen++; seen == n {
+					return i + 1
+				}
+			}
+		}
+		return s.Len()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{0, 1, 63, 64, 65, 500, 1000, p.Len()} {
+		s := p.View(size)
+		conds := 0
+		for i := 0; i < s.Len(); i++ {
+			if e := s.At(i); !e.Trap && e.Branch.Class == Cond {
+				conds++
+			}
+		}
+		if s.Conds() != conds {
+			t.Fatalf("View(%d).Conds() = %d, want %d", size, s.Conds(), conds)
+		}
+		for trial := 0; trial < 300; trial++ {
+			start := rng.Intn(s.Len() + 1)
+			n := uint64(rng.Intn(2*condStride + 2))
+			if trial%3 == 0 {
+				n = uint64(rng.Intn(conds + 2))
+			}
+			if got, want := s.CondsEnd(start, n), scanEnd(s, start, n); got != want {
+				t.Fatalf("View(%d).CondsEnd(%d, %d) = %d, want %d", size, start, n, got, want)
+			}
+		}
+	}
+}
+
 func TestSnapshotStableAcrossAppends(t *testing.T) {
 	events := randomEvents(4000, 2)
 	var p Packed
